@@ -35,7 +35,7 @@
 //! [`TieredKvManager::take_migrations`], and both are priced in
 //! [`MIGRATION_CHUNK_BYTES`] DMA chunks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 use vrex_hwsim::tier::{MemTier, TierCapacities, TierPath};
@@ -190,29 +190,71 @@ pub struct RestoreOutcome {
 }
 
 /// Per-session hash-cluster residency: which clusters sit below the
-/// device tier, keyed by **coldness rank** (0 = coldest cluster by the
-/// previous step's WiCSum mass). The spilled set is always a
-/// contiguous key prefix `[0, s)`: demotion appends the next-coldest
-/// rank, promotion pops the hottest spilled rank, so candidate
-/// discovery is O(1) and iteration order is the ranking itself. Bytes
-/// are frozen at demotion time; the session's device bytes are the
-/// residency total minus the map's bytes.
+/// device tier, by **coldness rank** (0 = coldest cluster by the
+/// previous step's WiCSum mass). The spilled set is always the
+/// contiguous rank prefix `[0, s)`: demotion appends at rank `s`,
+/// promotion pops the hottest spilled ranks, and a cascade moves the
+/// coldest ranks of one tier down. A demotion moves a batch of equal
+/// granules per destination, so the prefix is a short list of maximal
+/// runs of equal `(tier, bytes)` and every walk over it costs O(runs),
+/// not O(clusters). Bytes are frozen at demotion time; the session's
+/// device bytes are the residency total minus the runs' bytes.
 #[derive(Debug, Clone, Default)]
 struct ClusterState {
-    /// Spilled clusters by coldness rank. A `BTreeMap` keeps victim
-    /// selection and restore planning in deterministic rank order.
-    spilled: BTreeMap<u64, SpilledCluster>,
+    /// Spilled clusters as rank-ordered runs that tile `[0, s)`.
+    runs: Vec<ClusterRun>,
     /// Steps this session has committed — rotates which tail clusters
     /// the misprediction model touches, so demand fetches are
     /// deterministic without a PRNG.
     step_seq: u64,
 }
 
-/// One spilled cluster's location and frozen size.
+/// `len` consecutive coldness ranks from `first_rank`, each a spilled
+/// cluster of `bytes_each` bytes on `tier`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SpilledCluster {
+struct ClusterRun {
+    first_rank: u64,
+    len: u64,
     tier: MemTier,
-    bytes: u64,
+    bytes_each: u64,
+}
+
+impl ClusterRun {
+    fn end(&self) -> u64 {
+        self.first_rank + self.len
+    }
+}
+
+impl ClusterState {
+    /// Appends `len` clusters of `bytes_each` on `tier` at rank `s`.
+    fn push(&mut self, len: u64, tier: MemTier, bytes_each: u64) {
+        if len == 0 {
+            return;
+        }
+        let first_rank = self.runs.last().map_or(0, ClusterRun::end);
+        match self.runs.last_mut() {
+            Some(r) if r.tier == tier && r.bytes_each == bytes_each => r.len += len,
+            _ => self.runs.push(ClusterRun {
+                first_rank,
+                len,
+                tier,
+                bytes_each,
+            }),
+        }
+    }
+
+    /// Adds the per-tier bytes of the spilled ranks in `[lo, hi)` to
+    /// `bytes` and returns how many there are.
+    fn sum_ranks(&self, lo: u64, hi: u64, bytes: &mut [u64; 3]) -> u64 {
+        let mut count = 0;
+        let start = self.runs.partition_point(|r| r.end() <= lo);
+        for r in self.runs[start..].iter().take_while(|r| r.first_rank < hi) {
+            let k = r.end().min(hi) - r.first_rank.max(lo);
+            bytes[tier_index(r.tier)] += k * r.bytes_each;
+            count += k;
+        }
+        count
+    }
 }
 
 /// Cluster-mode knobs, fixed per manager instance.
@@ -225,12 +267,13 @@ struct ClusterModeCfg {
     protected_ratio: f64,
 }
 
-/// Ceiling on tracked clusters per session. Token-granular methods
-/// (4 KiB fetch chunks on multi-GiB sessions) would otherwise mean
-/// millions of per-cluster entries and O(clusters) restore planning
-/// every step; above the cap, adjacent fetch chunks are DMA-chained
-/// into one migration granule. Methods whose chunk already keeps a
-/// session under the cap (e.g. ReSV frame clusters) are unaffected.
+/// Ceiling on clusters per session: above it, adjacent fetch chunks
+/// are DMA-chained into one migration granule. Residency is kept as
+/// rank runs, so no walk grows with the cluster count any more; the cap
+/// exists only to keep the granule rule, and with it every spill,
+/// restore and capacity figure, pinned. Methods whose chunk already
+/// keeps a session under the cap (e.g. ReSV frame clusters) are
+/// unaffected.
 const MAX_CLUSTERS_PER_SESSION: u64 = 16384;
 
 impl ClusterModeCfg {
@@ -350,11 +393,11 @@ pub struct TieredKvManager {
     /// the victim/promotion scans that iterate it in id order).
     sessions: Vec<(usize, Residency)>,
     /// Cluster-granular cold-data tracking, populated only when
-    /// [`Self::with_cluster_mode`] enabled it. Sorted by session id in
-    /// lockstep with `sessions`; the per-session `Residency` summary
-    /// stays authoritative for byte totals.
+    /// [`Self::with_cluster_mode`] enabled it: `clusters[i]` belongs to
+    /// `sessions[i]`. The per-session `Residency` summary stays
+    /// authoritative for byte totals.
     cluster_mode: Option<ClusterModeCfg>,
-    clusters: Vec<(usize, ClusterState)>,
+    clusters: Vec<ClusterState>,
     /// Fleet-wide resident bytes per tier (device, host, ssd), kept
     /// incrementally so the per-step budget checks are O(1) instead of
     /// a fleet scan (the scheduler grows streams every batch).
@@ -364,6 +407,10 @@ pub struct TieredKvManager {
     /// Migrations decided since the last [`Self::take_migrations`]
     /// drain, in decision order.
     pending_migrations: Vec<MigrationTask>,
+    /// Reused buffer for the coldness order of the spill and promotion
+    /// sweeps as `(last_active_ps, slot)`, so they allocate nothing per
+    /// call (slot order is id order, so it breaks ties by id).
+    order_scratch: Vec<(u64, usize)>,
     /// Memoized [`TierPath::migrate_ps`] at the manager's chunk size,
     /// keyed by (from, to, bytes). `step_restore` re-prices repeated
     /// (spilled bytes × ratio) shapes per batch member; the memo turns
@@ -388,6 +435,7 @@ impl TieredKvManager {
             ever_spilled: std::collections::BTreeSet::new(),
             stats: TierStats::default(),
             pending_migrations: Vec::new(),
+            order_scratch: Vec::new(),
             migration_prices: HashMap::default(),
             price_hits: 0,
             price_misses: 0,
@@ -434,14 +482,13 @@ impl TieredKvManager {
     /// in ascending rank order (coldest first). Empty when the stream
     /// is fully device-resident or cluster mode is off.
     pub fn spilled_clusters(&self, id: usize) -> Vec<(u64, MemTier, u64)> {
-        match self.cluster_slot(id) {
-            Ok(i) => self.clusters[i]
-                .1
-                .spilled
+        match self.slot(id).ok().and_then(|i| self.clusters.get(i)) {
+            Some(state) => state
+                .runs
                 .iter()
-                .map(|(&k, c)| (k, c.tier, c.bytes))
+                .flat_map(|r| (r.first_rank..r.end()).map(|k| (k, r.tier, r.bytes_each)))
                 .collect(),
-            Err(_) => Vec::new(),
+            None => Vec::new(),
         }
     }
 
@@ -495,11 +542,6 @@ impl TieredKvManager {
     /// Slot of `id` in the sorted session vec (`Err` = insertion point).
     fn slot(&self, id: usize) -> Result<usize, usize> {
         self.sessions.binary_search_by_key(&id, |&(sid, _)| sid)
-    }
-
-    /// Slot of `id` in the sorted cluster-state vec.
-    fn cluster_slot(&self, id: usize) -> Result<usize, usize> {
-        self.clusters.binary_search_by_key(&id, |(sid, _)| *sid)
     }
 
     /// Statistics so far.
@@ -595,8 +637,7 @@ impl TieredKvManager {
         let r = self.sessions[slot].1;
         let ratio = ratio.clamp(0.0, 1.0);
         if let Some(cfg) = self.cluster_mode {
-            if let Some(plan) = self.cluster_restore_plan(id, &r, ratio, generation, cfg, prefetch)
-            {
+            if let Some(plan) = self.cluster_restore_plan(slot, ratio, generation, cfg, prefetch) {
                 return plan;
             }
             // A cluster-blind policy on a cluster-mode manager falls
@@ -631,19 +672,17 @@ impl TieredKvManager {
     /// cluster-blind.
     fn cluster_restore_plan(
         &mut self,
-        id: usize,
-        r: &Residency,
+        slot: usize,
         ratio: f64,
         generation: bool,
         cfg: ClusterModeCfg,
         prefetch: &dyn PrefetchPolicy,
     ) -> Option<RestorePlan> {
-        let Ok(ci) = self.cluster_slot(id) else {
-            return None;
-        };
+        let (id, r) = self.sessions[slot];
+        let state = self.clusters.get(slot)?;
         let total = r.total_bytes();
         let n = total.div_ceil(cfg.granule(total));
-        let step_seq = self.clusters[ci].1.step_seq;
+        let step_seq = state.step_seq;
         let cp = prefetch.cluster_plan(&ClusterPrefetchRequest {
             clusters: n,
             selection_ratio: ratio,
@@ -656,26 +695,19 @@ impl TieredKvManager {
         // Predicted-hot clusters are hotness ranks [0, predicted) =
         // coldness ranks [tail, n); the spilled ones stream up
         // speculatively from work-visibility.
-        let spilled = &self.clusters[ci].1.spilled;
         let mut spec = [0u64; 3];
-        let mut spec_clusters = 0u64;
-        for c in spilled.range(tail..).map(|(_, c)| c) {
-            spec[tier_index(c.tier)] += c.bytes;
-            spec_clusters += 1;
-        }
-        // Mispredictions rotate deterministically through the tail
-        // (coldness ranks [0, tail)); only the ones that are actually
-        // spilled cost a demand fetch.
+        let spec_clusters = state.sum_ranks(tail, u64::MAX, &mut spec);
+        // Mispredictions rotate deterministically through the tail: the
+        // window [step_seq, step_seq + mispredicted) mod tail, which
+        // covers each tail rank at most once (mispredicted <= tail).
+        // Only the ranks that are actually spilled cost a demand fetch.
         let mut demand = [0u64; 3];
         let mut demand_clusters = 0u64;
         if tail > 0 {
-            for j in 0..mispredicted {
-                let cold = (step_seq + j) % tail;
-                if let Some(c) = spilled.get(&cold) {
-                    demand[tier_index(c.tier)] += c.bytes;
-                    demand_clusters += 1;
-                }
-            }
+            let start = step_seq % tail;
+            let end = start + mispredicted;
+            demand_clusters = state.sum_ranks(start, end.min(tail), &mut demand)
+                + state.sum_ranks(0, end.saturating_sub(tail), &mut demand);
         }
         let host_bytes = spec[1] + demand[1];
         let ssd_bytes = spec[2] + demand[2];
@@ -715,9 +747,9 @@ impl TieredKvManager {
         debug_assert_eq!(hidden_ps + exposed_ps, plan.miss_ps());
         // Cluster plans advance the session's step sequence even on a
         // hit, so the misprediction rotation tracks executed steps.
-        if plan.cluster {
-            if let Ok(i) = self.cluster_slot(plan.session) {
-                self.clusters[i].1.step_seq += 1;
+        if let (true, Ok(i)) = (plan.cluster, self.slot(plan.session)) {
+            if let Some(state) = self.clusters.get_mut(i) {
+                state.step_seq += 1;
             }
         }
         if plan.miss_ps() == 0 {
@@ -739,9 +771,7 @@ impl TieredKvManager {
             Err(i) => {
                 self.sessions.insert(i, (id, Residency::default()));
                 if self.cluster_mode.is_some() {
-                    if let Err(ci) = self.cluster_slot(id) {
-                        self.clusters.insert(ci, (id, ClusterState::default()));
-                    }
+                    self.clusters.insert(i, ClusterState::default());
                 }
                 i
             }
@@ -780,8 +810,8 @@ impl TieredKvManager {
             for tier in MemTier::ALL {
                 self.used[tier_index(tier)] -= tier_bytes(&r, tier);
             }
-            if let Ok(ci) = self.cluster_slot(id) {
-                self.clusters.remove(ci);
+            if self.cluster_mode.is_some() {
+                self.clusters.remove(i);
             }
         }
         self.promote_into_free();
@@ -892,21 +922,12 @@ impl TieredKvManager {
                 // control is responsible for not letting this happen).
                 return;
             };
-            let (victim_id, r) = &mut self.sessions[victim];
-            let moved = tier_bytes(r, tier).min(overflow).min(room);
-            *tier_bytes_mut(r, tier) -= moved;
-            *tier_bytes_mut(r, dest) += moved;
-            let victim_id = *victim_id;
-            self.used[tier_index(tier)] -= moved;
-            self.used[tier_index(dest)] += moved;
-            self.stats.spilled_bytes += moved;
-            self.ever_spilled.insert(victim_id);
-            self.pending_migrations.push(MigrationTask {
-                session: victim_id,
-                from: tier,
-                to: dest,
-                bytes: moved,
-            });
+            let moved = tier_bytes(&self.sessions[victim].1, tier)
+                .min(overflow)
+                .min(room);
+            self.ever_spilled.insert(self.sessions[victim].0);
+            let first_task = self.pending_migrations.len();
+            self.move_bytes(victim, tier, dest, moved, first_task);
         }
     }
 
@@ -917,30 +938,28 @@ impl TieredKvManager {
     /// session's cold clusters leave before any session's hot ones.
     fn spill_tier_clusters(&mut self, tier: MemTier, cfg: ClusterModeCfg) {
         let src = tier_index(tier);
-        if self.used[src] <= self.caps.capacity(tier) {
+        let cap = self.caps.capacity(tier);
+        if self.used[src] <= cap {
             return;
         }
         // Coldest sessions first; ties resolve to the smaller id.
-        let mut order: Vec<usize> = (0..self.sessions.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.sessions[a]
-                .1
-                .last_active_ps
-                .cmp(&self.sessions[b].1.last_active_ps)
-                .then(self.sessions[a].0.cmp(&self.sessions[b].0))
-        });
-        for protected_pass in [false, true] {
-            for &si in &order {
-                if self.used[src] <= self.caps.capacity(tier) {
-                    return;
-                }
-                if !self.demote_session_clusters(si, tier, cfg, protected_pass) {
-                    // Hierarchy full: leave the tier over budget
-                    // (admission control prevents this in practice).
-                    return;
+        let mut order = std::mem::take(&mut self.order_scratch);
+        order.clear();
+        order.extend(self.sessions.iter().map(|(_, r)| r.last_active_ps).zip(0..));
+        order.sort_unstable();
+        'passes: for protected_pass in [false, true] {
+            for &(_, si) in &order {
+                // A failed demotion means the hierarchy is full: leave
+                // the tier over budget (admission control prevents this
+                // in practice).
+                if self.used[src] <= cap
+                    || !self.demote_session_clusters(si, tier, cfg, protected_pass)
+                {
+                    break 'passes;
                 }
             }
         }
+        self.order_scratch = order;
     }
 
     /// Demotes clusters of one session out of `tier` until the tier
@@ -953,13 +972,8 @@ impl TieredKvManager {
         cfg: ClusterModeCfg,
         protected_pass: bool,
     ) -> bool {
-        let src = tier_index(tier);
-        let cap = self.caps.capacity(tier);
-        let id = self.sessions[si].0;
-        let Ok(ci) = self.cluster_slot(id) else {
-            return true;
-        };
-        let total = self.sessions[si].1.total_bytes();
+        let (id, r) = self.sessions[si];
+        let total = r.total_bytes();
         if total == 0 {
             return true;
         }
@@ -969,226 +983,213 @@ impl TieredKvManager {
         // Coldness ranks this pass may demote up to: the unprotected
         // tail first, the whole session only under residual pressure.
         let limit = if protected_pass { n } else { n - protected };
-        // Coalesce consecutive same-route clusters into one task.
-        let mut run_to: Option<MemTier> = None;
-        let mut run_bytes = 0u64;
-        let mut demoted = false;
-        let ok = loop {
-            if self.used[src] <= cap {
-                break true;
-            }
-            // Next coldest candidate in this pass's class: for the
-            // device tier it is the next unspilled coldness rank (the
-            // spilled set is a contiguous prefix [0, s)); for a lower
-            // tier it is the coldest cluster already spilled there
-            // (cascade). `cascade_key` is `None` for a device demotion.
-            let (bytes, cascade_key) = match tier {
-                MemTier::Device => {
-                    let device = self.sessions[si].1.device_bytes;
-                    if device == 0 {
-                        break true;
-                    }
-                    // Spilled mass in current-granule units: exactly
-                    // the spilled-cluster count for a static granule,
-                    // and the current-granule equivalent of stale
-                    // finer clusters once chaining has coarsened it —
-                    // so the protected prefix keeps its byte meaning.
-                    // The protected pass demotes everything, so only
-                    // `device == 0` stops it.
-                    let s = self.sessions[si].1.spilled_bytes().div_ceil(granule);
-                    if !protected_pass && s >= limit {
-                        break true;
-                    }
-                    (granule.min(device), None)
-                }
-                _ => {
-                    let found = self.clusters[ci]
-                        .1
-                        .spilled
-                        .range(..limit)
-                        .find(|(_, c)| c.tier == tier)
-                        .map(|(&k, c)| (k, c.bytes));
-                    match found {
-                        Some((k, bytes)) => (bytes, Some(k)),
-                        None => break true,
-                    }
-                }
+        let first_task = self.pending_migrations.len();
+        let mut stop = None;
+        if tier == MemTier::Device {
+            // Candidates are the next unspilled coldness ranks: the
+            // device bytes as whole granules, then one partial granule.
+            // Pass 1 stops once the spilled mass in current-granule
+            // units reaches the limit — exactly the spilled-cluster
+            // count for a static granule, and the current-granule
+            // equivalent of stale finer clusters once chaining has
+            // coarsened it, so the protected prefix keeps its byte
+            // meaning.
+            let mut allowed = if protected_pass {
+                u64::MAX
+            } else {
+                limit.saturating_sub(r.spilled_bytes().div_ceil(granule))
             };
-            // Nearest lower tier with room for this whole cluster —
-            // clusters never straddle tiers.
-            let dest = self.caps.below(tier).find(|&t| {
+            if allowed == 0 || r.device_bytes == 0 {
+                return true;
+            }
+            let partial = r.device_bytes % granule;
+            for (count, bytes) in [
+                (r.device_bytes / granule, granule),
+                (u64::from(partial > 0), partial),
+            ] {
+                let count = count.min(allowed);
+                allowed -= count;
+                let moved;
+                (moved, stop) = self.demote_clusters(si, tier, count, bytes, first_task);
+                for dest in self.caps.below(tier) {
+                    self.clusters[si].push(moved[tier_index(dest)], dest, bytes);
+                }
+                if stop.is_some() {
+                    break;
+                }
+            }
+        } else {
+            // Cascade: the coldest clusters already on `tier` (below the
+            // limit) move further down. The runs are rebuilt in rank
+            // order, so a partly moved run splits and equal neighbours
+            // merge.
+            for run in std::mem::take(&mut self.clusters[si].runs) {
+                let mut moved = [0u64; 3];
+                if stop.is_none() && run.tier == tier && run.first_rank < limit {
+                    let count = run.len.min(limit - run.first_rank);
+                    (moved, stop) =
+                        self.demote_clusters(si, tier, count, run.bytes_each, first_task);
+                }
+                // The moved clusters are the run's coldest ranks.
+                let state = &mut self.clusters[si];
+                for dest in self.caps.below(tier) {
+                    state.push(moved[tier_index(dest)], dest, run.bytes_each);
+                }
+                state.push(
+                    run.len - moved.iter().sum::<u64>(),
+                    run.tier,
+                    run.bytes_each,
+                );
+            }
+        }
+        if self.pending_migrations.len() > first_task {
+            self.ever_spilled.insert(id);
+        }
+        stop.unwrap_or(true)
+    }
+
+    /// Moves up to `count` clusters of `bytes` each of session slot `si`
+    /// out of `from` until it fits its budget. Each cluster lands whole
+    /// on the nearest lower tier with room for it, so the clusters go
+    /// in at most one batch per destination; each batch is queued as a
+    /// migration, coalesced by route with those queued since
+    /// `first_task`. Returns the clusters moved per tier (by tier index)
+    /// and, if the walk must stop here, whether `from` now fits
+    /// (`Some(true)`) or no lower tier has room (`Some(false)`).
+    fn demote_clusters(
+        &mut self,
+        si: usize,
+        from: MemTier,
+        count: u64,
+        bytes: u64,
+        first_task: usize,
+    ) -> ([u64; 3], Option<bool>) {
+        let src = tier_index(from);
+        let cap = self.caps.capacity(from);
+        let mut moved = [0u64; 3];
+        let mut left = count;
+        while left > 0 {
+            if self.used[src] <= cap {
+                return (moved, Some(true));
+            }
+            let room = |t: MemTier| {
                 self.caps
                     .capacity(t)
                     .saturating_sub(self.used[tier_index(t)])
-                    >= bytes
-            });
-            let Some(dest) = dest else {
-                break false;
             };
-            if let Some(to) = run_to {
-                if to != dest {
-                    self.pending_migrations.push(MigrationTask {
-                        session: id,
-                        from: tier,
-                        to,
-                        bytes: run_bytes,
-                    });
-                    run_bytes = 0;
-                }
-            }
-            run_to = Some(dest);
-            run_bytes += bytes;
-            demoted = true;
-            match cascade_key {
-                None => {
-                    let s = self.clusters[ci].1.spilled.len() as u64;
-                    self.clusters[ci]
-                        .1
-                        .spilled
-                        .insert(s, SpilledCluster { tier: dest, bytes });
-                    self.sessions[si].1.device_bytes -= bytes;
-                }
-                Some(key) => {
-                    if let Some(c) = self.clusters[ci].1.spilled.get_mut(&key) {
-                        c.tier = dest;
-                    }
-                    *tier_bytes_mut(&mut self.sessions[si].1, tier) -= bytes;
-                }
-            }
-            *tier_bytes_mut(&mut self.sessions[si].1, dest) += bytes;
-            self.used[src] -= bytes;
-            self.used[tier_index(dest)] += bytes;
-            self.stats.spilled_bytes += bytes;
-        };
-        if let Some(to) = run_to {
-            self.pending_migrations.push(MigrationTask {
-                session: id,
-                from: tier,
-                to,
-                bytes: run_bytes,
-            });
+            let Some(to) = self.caps.below(from).find(|&t| room(t) >= bytes) else {
+                return (moved, Some(false));
+            };
+            let k = left
+                .min((self.used[src] - cap).div_ceil(bytes))
+                .min(room(to) / bytes);
+            left -= k;
+            moved[tier_index(to)] += k;
+            self.move_bytes(si, from, to, k * bytes, first_task);
         }
-        if demoted {
-            self.ever_spilled.insert(id);
-        }
-        ok
+        (moved, None)
     }
 
-    /// Cluster-granular promotion: hottest sessions first, and within
-    /// a session the hottest spilled cluster (highest coldness rank)
-    /// first — whole clusters only.
-    fn promote_into_free_clusters(&mut self) {
-        let mut free = self
+    /// Moves `bytes` of session slot `si` between tiers, keeping its
+    /// residency, the fleet totals and the statistics in step, and
+    /// queues the migration, coalesced by route with those queued since
+    /// `first_task`.
+    fn move_bytes(&mut self, si: usize, from: MemTier, to: MemTier, bytes: u64, first_task: usize) {
+        let (session, r) = &mut self.sessions[si];
+        *tier_bytes_mut(r, from) -= bytes;
+        *tier_bytes_mut(r, to) += bytes;
+        self.used[tier_index(from)] -= bytes;
+        self.used[tier_index(to)] += bytes;
+        if to > from {
+            self.stats.spilled_bytes += bytes;
+        } else {
+            self.stats.promoted_bytes += bytes;
+        }
+        let task = MigrationTask {
+            session: *session,
+            from,
+            to,
+            bytes,
+        };
+        match self.pending_migrations[first_task..].last_mut() {
+            Some(last) if (last.session, last.from, last.to) == (task.session, from, to) => {
+                last.bytes += bytes
+            }
+            _ => self.pending_migrations.push(task),
+        }
+    }
+
+    /// Promotes hottest-stream spilled bytes into free device space:
+    /// hottest sessions first (ties by id). In cluster mode, within a
+    /// session the hottest spilled clusters (highest coldness ranks)
+    /// come back first, whole clusters only.
+    fn promote_into_free(&mut self) {
+        let free = self
             .caps
             .device_bytes
             .saturating_sub(self.used[tier_index(MemTier::Device)]);
         if free == 0 {
             return;
         }
-        let mut order: Vec<usize> = (0..self.sessions.len())
-            .filter(|&i| self.sessions[i].1.spilled_bytes() > 0)
-            .collect();
-        order.sort_by(|&a, &b| {
-            self.sessions[b]
-                .1
-                .last_active_ps
-                .cmp(&self.sessions[a].1.last_active_ps)
-                .then(self.sessions[a].0.cmp(&self.sessions[b].0))
-        });
-        'sessions: for si in order {
-            let id = self.sessions[si].0;
-            let Ok(ci) = self.cluster_slot(id) else {
-                continue;
-            };
-            let mut run_from: Option<MemTier> = None;
-            let mut run_bytes = 0u64;
-            while let Some((&key, &c)) = self.clusters[ci].1.spilled.iter().next_back() {
-                if c.bytes > free {
+        let mut order = std::mem::take(&mut self.order_scratch);
+        order.clear();
+        order.extend(
+            self.sessions
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, r))| r.spilled_bytes() > 0)
+                .map(|(i, (_, r))| (r.last_active_ps, i)),
+        );
+        order.sort_unstable_by_key(|&(t, i)| (std::cmp::Reverse(t), i));
+        if self.cluster_mode.is_some() {
+            self.promote_clusters(&order, free);
+        } else {
+            self.promote_flat(&order, free);
+        }
+        self.order_scratch = order;
+    }
+
+    /// Pops whole clusters off each session's top run, in `order`,
+    /// into `free` device bytes.
+    fn promote_clusters(&mut self, order: &[(u64, usize)], mut free: u64) {
+        'sessions: for &(_, si) in order {
+            let first_task = self.pending_migrations.len();
+            loop {
+                let runs = &mut self.clusters[si].runs;
+                let Some(top) = runs.last_mut() else {
+                    break;
+                };
+                if top.bytes_each > free {
                     // The next whole cluster no longer fits: stop the
                     // promotion sweep (deterministic, no best-fit
                     // search through smaller partial clusters).
-                    flush_run(
-                        &mut self.pending_migrations,
-                        id,
-                        &mut run_from,
-                        &mut run_bytes,
-                    );
                     break 'sessions;
                 }
-                self.clusters[ci].1.spilled.remove(&key);
-                *tier_bytes_mut(&mut self.sessions[si].1, c.tier) -= c.bytes;
-                self.sessions[si].1.device_bytes += c.bytes;
-                self.used[tier_index(c.tier)] -= c.bytes;
-                self.used[tier_index(MemTier::Device)] += c.bytes;
-                free -= c.bytes;
-                self.stats.promoted_bytes += c.bytes;
-                if run_from.is_some() && run_from != Some(c.tier) {
-                    flush_run(
-                        &mut self.pending_migrations,
-                        id,
-                        &mut run_from,
-                        &mut run_bytes,
-                    );
+                let k = top.len.min(free / top.bytes_each);
+                let (tier, bytes) = (top.tier, k * top.bytes_each);
+                top.len -= k;
+                if top.len == 0 {
+                    runs.pop();
                 }
-                run_from = Some(c.tier);
-                run_bytes += c.bytes;
+                free -= bytes;
+                self.move_bytes(si, tier, MemTier::Device, bytes, first_task);
             }
-            flush_run(
-                &mut self.pending_migrations,
-                id,
-                &mut run_from,
-                &mut run_bytes,
-            );
             if free == 0 {
                 break;
             }
         }
     }
 
-    /// Promotes hottest-stream spilled bytes into free device space.
-    fn promote_into_free(&mut self) {
-        if self.cluster_mode.is_some() {
-            self.promote_into_free_clusters();
-            return;
-        }
-        let mut free = self
-            .caps
-            .device_bytes
-            .saturating_sub(self.used[tier_index(MemTier::Device)]);
-        if free == 0 {
-            return;
-        }
-        // Hottest first; ties broken by id for determinism (slots are
-        // in id order).
-        let mut order: Vec<usize> = (0..self.sessions.len())
-            .filter(|&i| self.sessions[i].1.spilled_bytes() > 0)
-            .collect();
-        order.sort_by(|&a, &b| {
-            let ra = self.sessions[a].1.last_active_ps;
-            let rb = self.sessions[b].1.last_active_ps;
-            rb.cmp(&ra).then(a.cmp(&b))
-        });
-        for i in order {
-            if free == 0 {
-                break;
-            }
-            let (id, r) = &mut self.sessions[i];
-            let id = *id;
+    /// Moves each session's host bytes, then its SSD bytes, in `order`,
+    /// into `free` device bytes.
+    fn promote_flat(&mut self, order: &[(u64, usize)], mut free: u64) {
+        for &(_, si) in order {
             for tier in [MemTier::Host, MemTier::Ssd] {
-                let moved = tier_bytes(r, tier).min(free);
-                *tier_bytes_mut(r, tier) -= moved;
-                r.device_bytes += moved;
-                self.used[tier_index(tier)] -= moved;
-                self.used[tier_index(MemTier::Device)] += moved;
-                free -= moved;
-                self.stats.promoted_bytes += moved;
+                let moved = tier_bytes(&self.sessions[si].1, tier).min(free);
                 if moved > 0 {
-                    self.pending_migrations.push(MigrationTask {
-                        session: id,
-                        from: tier,
-                        to: MemTier::Device,
-                        bytes: moved,
-                    });
+                    free -= moved;
+                    let first_task = self.pending_migrations.len();
+                    self.move_bytes(si, tier, MemTier::Device, moved, first_task);
                 }
             }
         }
@@ -1199,23 +1200,6 @@ impl TieredKvManager {
 /// (the WiCSum-hot prefix).
 fn protected_clusters(n: u64, ratio: f64) -> u64 {
     ((n as f64 * ratio).ceil() as u64).min(n)
-}
-
-/// Emits one coalesced promotion task for a finished same-tier run.
-fn flush_run(
-    pending: &mut Vec<MigrationTask>,
-    session: usize,
-    run_from: &mut Option<MemTier>,
-    run_bytes: &mut u64,
-) {
-    if let Some(from) = run_from.take() {
-        pending.push(MigrationTask {
-            session,
-            from,
-            to: MemTier::Device,
-            bytes: std::mem::take(run_bytes),
-        });
-    }
 }
 
 fn tier_index(tier: MemTier) -> usize {
@@ -1692,5 +1676,508 @@ mod tests {
         m.touch(99, 5);
         m.release(99);
         assert_eq!(m.stats(), TierStats::default());
+    }
+}
+
+/// Oracle for the rank-run residency: a per-rank reference model of
+/// cluster mode that keeps one `BTreeMap<rank, (tier, bytes)>` per
+/// session and walks it one cluster at a time — the algorithm the runs
+/// replace — driven side by side with the manager over random traces.
+#[cfg(test)]
+mod reference_model {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use vrex_hwsim::dram::DramConfig;
+    use vrex_hwsim::pcie::PcieConfig;
+    use vrex_hwsim::ssd::SsdConfig;
+
+    /// One session's spilled clusters: rank -> (tier, bytes).
+    type Spilled = BTreeMap<u64, (MemTier, u64)>;
+
+    /// Cluster-mode residency with per-rank spilled maps.
+    struct Model {
+        caps: TierCapacities,
+        path: TierPath,
+        cfg: ClusterModeCfg,
+        /// `(id, residency, spilled clusters by rank, step_seq)`,
+        /// sorted by id.
+        sessions: Vec<(usize, Residency, Spilled, u64)>,
+        used: [u64; 3],
+        ever_spilled: BTreeSet<usize>,
+        stats: TierStats,
+        pending: Vec<MigrationTask>,
+        /// Demotions that moved granules chained past the cluster cap.
+        chained: u64,
+        /// Restore plans whose misprediction window wrapped past `tail`.
+        wrapped: u64,
+        /// Host cascades that stopped inside a same-size host stretch.
+        split_cascades: u64,
+    }
+
+    impl Model {
+        fn new(caps: TierCapacities, path: TierPath, cfg: ClusterModeCfg) -> Self {
+            Self {
+                caps,
+                path,
+                cfg,
+                sessions: Vec::new(),
+                used: [0; 3],
+                ever_spilled: BTreeSet::new(),
+                stats: TierStats::default(),
+                pending: Vec::new(),
+                chained: 0,
+                wrapped: 0,
+                split_cascades: 0,
+            }
+        }
+
+        fn slot(&self, id: usize) -> Result<usize, usize> {
+            self.sessions.binary_search_by_key(&id, |s| s.0)
+        }
+
+        fn admit(&mut self, id: usize, bytes: u64, now_ps: u64) {
+            let i = self.slot(id).unwrap_or_else(|i| {
+                let fresh = (id, Residency::default(), BTreeMap::new(), 0);
+                self.sessions.insert(i, fresh);
+                i
+            });
+            self.sessions[i].1.device_bytes += bytes;
+            self.sessions[i].1.last_active_ps = now_ps;
+            self.used[0] += bytes;
+            self.spill_down();
+        }
+
+        fn grow(&mut self, id: usize, delta: u64, now_ps: u64) {
+            if let Ok(i) = self.slot(id) {
+                self.sessions[i].1.device_bytes += delta;
+                self.sessions[i].1.last_active_ps = now_ps;
+                self.used[0] += delta;
+            }
+            self.spill_down();
+        }
+
+        fn touch(&mut self, id: usize, now_ps: u64) {
+            if let Ok(i) = self.slot(id) {
+                self.sessions[i].1.last_active_ps = now_ps;
+            }
+        }
+
+        fn release(&mut self, id: usize) {
+            if let Ok(i) = self.slot(id) {
+                let (_, r, _, _) = self.sessions.remove(i);
+                for tier in MemTier::ALL {
+                    self.used[tier_index(tier)] -= tier_bytes(&r, tier);
+                }
+            }
+            self.promote();
+        }
+
+        fn spill_down(&mut self) {
+            self.spill_tier(MemTier::Device);
+            self.spill_tier(MemTier::Host);
+        }
+
+        fn spill_tier(&mut self, tier: MemTier) {
+            let src = tier_index(tier);
+            if self.used[src] <= self.caps.capacity(tier) {
+                return;
+            }
+            let mut order: Vec<usize> = (0..self.sessions.len()).collect();
+            order.sort_by_key(|&i| (self.sessions[i].1.last_active_ps, self.sessions[i].0));
+            for protected_pass in [false, true] {
+                for &si in &order {
+                    if self.used[src] <= self.caps.capacity(tier) {
+                        return;
+                    }
+                    if !self.demote(si, tier, protected_pass) {
+                        return;
+                    }
+                }
+            }
+        }
+
+        fn demote(&mut self, si: usize, tier: MemTier, protected_pass: bool) -> bool {
+            let src = tier_index(tier);
+            let cap = self.caps.capacity(tier);
+            let id = self.sessions[si].0;
+            let total = self.sessions[si].1.total_bytes();
+            if total == 0 {
+                return true;
+            }
+            let granule = self.cfg.granule(total);
+            let n = total.div_ceil(granule);
+            let protected = protected_clusters(n, self.cfg.protected_ratio);
+            let limit = if protected_pass { n } else { n - protected };
+            let mut run: Option<(MemTier, u64)> = None;
+            let mut last_cascaded: Option<(u64, u64)> = None;
+            let ok = loop {
+                if self.used[src] <= cap {
+                    break true;
+                }
+                let (bytes, cascade_key) = if tier == MemTier::Device {
+                    let device = self.sessions[si].1.device_bytes;
+                    if device == 0 {
+                        break true;
+                    }
+                    let s = self.sessions[si].1.spilled_bytes().div_ceil(granule);
+                    if !protected_pass && s >= limit {
+                        break true;
+                    }
+                    (granule.min(device), None)
+                } else {
+                    let found = self.sessions[si]
+                        .2
+                        .range(..limit)
+                        .find(|(_, c)| c.0 == tier)
+                        .map(|(&k, c)| (k, c.1));
+                    match found {
+                        Some((k, bytes)) => (bytes, Some(k)),
+                        None => break true,
+                    }
+                };
+                let room = |t: MemTier| {
+                    self.caps
+                        .capacity(t)
+                        .saturating_sub(self.used[tier_index(t)])
+                };
+                let Some(dest) = self.caps.below(tier).find(|&t| room(t) >= bytes) else {
+                    break false;
+                };
+                if let Some((to, b)) = run {
+                    if to != dest {
+                        self.pending.push(MigrationTask {
+                            session: id,
+                            from: tier,
+                            to,
+                            bytes: b,
+                        });
+                        run = None;
+                    }
+                }
+                run = Some((dest, run.map_or(0, |(_, b)| b) + bytes));
+                let s = &mut self.sessions[si];
+                match cascade_key {
+                    None => {
+                        let rank = s.2.len() as u64;
+                        s.2.insert(rank, (dest, bytes));
+                        s.1.device_bytes -= bytes;
+                        if granule > self.cfg.cluster_bytes {
+                            self.chained += 1;
+                        }
+                    }
+                    Some(key) => {
+                        s.2.insert(key, (dest, bytes));
+                        *tier_bytes_mut(&mut s.1, tier) -= bytes;
+                        last_cascaded = Some((key, bytes));
+                    }
+                }
+                *tier_bytes_mut(&mut self.sessions[si].1, dest) += bytes;
+                self.used[src] -= bytes;
+                self.used[tier_index(dest)] += bytes;
+                self.stats.spilled_bytes += bytes;
+            };
+            if let Some((key, bytes)) = last_cascaded {
+                if self.sessions[si].2.get(&(key + 1)) == Some(&(tier, bytes)) {
+                    self.split_cascades += 1;
+                }
+            }
+            if let Some((to, bytes)) = run {
+                self.pending.push(MigrationTask {
+                    session: id,
+                    from: tier,
+                    to,
+                    bytes,
+                });
+                self.ever_spilled.insert(id);
+            }
+            ok
+        }
+
+        fn promote(&mut self) {
+            let mut free = self.caps.device_bytes.saturating_sub(self.used[0]);
+            if free == 0 {
+                return;
+            }
+            let mut order: Vec<usize> = (0..self.sessions.len())
+                .filter(|&i| self.sessions[i].1.spilled_bytes() > 0)
+                .collect();
+            order.sort_by_key(|&i| {
+                (
+                    std::cmp::Reverse(self.sessions[i].1.last_active_ps),
+                    self.sessions[i].0,
+                )
+            });
+            'sessions: for si in order {
+                let id = self.sessions[si].0;
+                let mut run: Option<(MemTier, u64)> = None;
+                while let Some((&key, &(tier, bytes))) = self.sessions[si].2.iter().next_back() {
+                    if bytes > free {
+                        flush(&mut self.pending, id, &mut run);
+                        break 'sessions;
+                    }
+                    self.sessions[si].2.remove(&key);
+                    *tier_bytes_mut(&mut self.sessions[si].1, tier) -= bytes;
+                    self.sessions[si].1.device_bytes += bytes;
+                    self.used[tier_index(tier)] -= bytes;
+                    self.used[0] += bytes;
+                    free -= bytes;
+                    self.stats.promoted_bytes += bytes;
+                    if run.is_some_and(|(from, _)| from != tier) {
+                        flush(&mut self.pending, id, &mut run);
+                    }
+                    run = Some((tier, run.map_or(0, |(_, b)| b) + bytes));
+                }
+                flush(&mut self.pending, id, &mut run);
+                if free == 0 {
+                    break;
+                }
+            }
+        }
+
+        fn plan_restore(
+            &mut self,
+            id: usize,
+            ratio: f64,
+            generation: bool,
+            prefetch: &dyn PrefetchPolicy,
+        ) -> RestorePlan {
+            let Ok(slot) = self.slot(id) else {
+                return RestorePlan::default();
+            };
+            let ratio = ratio.clamp(0.0, 1.0);
+            let (_, r, spilled, step_seq) = &self.sessions[slot];
+            let total = r.total_bytes();
+            let n = total.div_ceil(self.cfg.granule(total));
+            let cp = prefetch
+                .cluster_plan(&ClusterPrefetchRequest {
+                    clusters: n,
+                    selection_ratio: ratio,
+                    generation,
+                    step_seq: *step_seq,
+                })
+                .expect("the traces drive a cluster-aware policy");
+            let predicted = cp.predicted.min(n);
+            let tail = n - predicted;
+            let mispredicted = cp.mispredicted.min(tail);
+            let mut spec = [0u64; 3];
+            let mut spec_clusters = 0;
+            for &(tier, bytes) in spilled.range(tail..).map(|(_, c)| c) {
+                spec[tier_index(tier)] += bytes;
+                spec_clusters += 1;
+            }
+            let mut demand = [0u64; 3];
+            let mut demand_clusters = 0;
+            if tail > 0 {
+                if step_seq % tail + mispredicted > tail {
+                    self.wrapped += 1;
+                }
+                for j in 0..mispredicted {
+                    if let Some(&(tier, bytes)) = spilled.get(&((step_seq + j) % tail)) {
+                        demand[tier_index(tier)] += bytes;
+                        demand_clusters += 1;
+                    }
+                }
+            }
+            let (host_bytes, ssd_bytes) = (spec[1] + demand[1], spec[2] + demand[2]);
+            let price = |from, bytes| {
+                self.path
+                    .migrate_ps(from, MemTier::Device, bytes, self.cfg.cluster_bytes)
+            };
+            let (spec_bytes, demand_bytes) = (spec[1] + spec[2], demand[1] + demand[2]);
+            let bytes = spec_bytes + demand_bytes;
+            RestorePlan {
+                host_bytes,
+                ssd_bytes,
+                host_ps: price(MemTier::Host, host_bytes),
+                ssd_ps: price(MemTier::Ssd, ssd_bytes),
+                coverage: if bytes > 0 {
+                    spec_bytes as f64 / bytes as f64
+                } else {
+                    0.0
+                },
+                spec_bytes,
+                demand_bytes,
+                cluster: true,
+                session: id,
+                spec_clusters,
+                demand_clusters,
+                mispredicted_clusters: mispredicted,
+            }
+        }
+
+        fn commit_restore(&mut self, plan: &RestorePlan, hidden_ps: u64, exposed_ps: u64) {
+            if let (true, Ok(i)) = (plan.cluster, self.slot(plan.session)) {
+                self.sessions[i].3 += 1;
+            }
+            if plan.miss_ps() == 0 {
+                self.stats.tier_hit_steps += 1;
+                return;
+            }
+            self.stats.tier_miss_steps += 1;
+            self.stats.restored_bytes += plan.bytes();
+            self.stats.hidden_ps += hidden_ps;
+            self.stats.exposed_ps += exposed_ps;
+        }
+    }
+
+    fn flush(pending: &mut Vec<MigrationTask>, session: usize, run: &mut Option<(MemTier, u64)>) {
+        if let Some((from, bytes)) = run.take() {
+            pending.push(MigrationTask {
+                session,
+                from,
+                to: MemTier::Device,
+                bytes,
+            });
+        }
+    }
+
+    /// SplitMix64: a dependency-free deterministic trace generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Asserts the manager and the model agree on everything the
+    /// manager exposes; the per-rank cluster lists (up to 16384 entries
+    /// a session) only when `ranks` is set.
+    fn assert_same(m: &mut TieredKvManager, model: &mut Model, ranks: bool, ctx: &str) {
+        let mut tasks = Vec::new();
+        m.drain_migrations_into(&mut tasks);
+        assert_eq!(
+            tasks,
+            std::mem::take(&mut model.pending),
+            "{ctx}: migrations"
+        );
+        assert_eq!(m.stats(), model.stats, "{ctx}: stats");
+        assert_eq!(
+            m.ever_spilled_sessions(),
+            model.ever_spilled.len(),
+            "{ctx}: ever spilled"
+        );
+        for tier in MemTier::ALL {
+            assert_eq!(
+                m.used_bytes(tier),
+                model.used[tier_index(tier)],
+                "{ctx}: {tier}"
+            );
+        }
+        for (id, r, spilled, _) in &model.sessions {
+            assert_eq!(m.residency(*id), Some(r), "{ctx}: residency of {id}");
+            if !ranks {
+                continue;
+            }
+            let per_rank: Vec<_> = spilled.iter().map(|(&k, &(t, b))| (k, t, b)).collect();
+            assert_eq!(m.spilled_clusters(*id), per_rank, "{ctx}: clusters of {id}");
+        }
+    }
+
+    #[test]
+    fn rank_runs_match_the_per_rank_reference_model() {
+        let mut rng = Rng(0x5eed);
+        let path = TierPath {
+            pcie: PcieConfig::gen4_x16(),
+            host_dram: Some(DramConfig::ddr4_cpu()),
+            ssd: Some(SsdConfig::bg6_class()),
+        };
+        let (mut chained, mut wrapped, mut split_cascades) = (0, 0, 0);
+        for trace in 0..48 {
+            // Every sixth trace uses 1-3 byte clusters, so sessions of
+            // tens of KB chain granules past the 16384-cluster cap; the
+            // rest use coarse clusters, a few dozen per session.
+            let tiny = trace % 6 == 0;
+            let cluster_bytes = if tiny {
+                1 + rng.below(3)
+            } else {
+                256 + rng.below(4096)
+            };
+            let unit = if tiny { 8192 } else { 8 * cluster_bytes };
+            let caps = TierCapacities {
+                device_bytes: unit * (4 + rng.below(8)),
+                host_bytes: unit * (2 + rng.below(8)),
+                ssd_bytes: unit * 64,
+            };
+            let cfg = ClusterModeCfg {
+                cluster_bytes,
+                protected_ratio: rng.below(5) as f64 / 4.0,
+            };
+            let mut m = TieredKvManager::new(caps, path.clone())
+                .with_cluster_mode(cfg.cluster_bytes, cfg.protected_ratio);
+            let mut model = Model::new(caps, path.clone(), cfg);
+            let mut now = 0u64;
+            for step in 0..64 {
+                // Small clock steps leave coldness ties for the id
+                // tie-break to resolve.
+                now += rng.below(3);
+                let id = rng.below(6) as usize;
+                let ctx = format!("trace {trace} step {step}");
+                match rng.below(16) {
+                    0..=2 => {
+                        let bytes = unit / 2 + rng.below(3 * unit);
+                        m.admit(id, bytes, now);
+                        model.admit(id, bytes, now);
+                    }
+                    3..=6 => {
+                        let delta = 1 + rng.below(unit);
+                        m.grow(id, delta, now);
+                        model.grow(id, delta, now);
+                    }
+                    7 => {
+                        m.touch(id, now);
+                        model.touch(id, now);
+                    }
+                    8 => {
+                        m.release(id);
+                        model.release(id);
+                    }
+                    9 => {
+                        // Shrink the host budget under its contents: the
+                        // cascade moves the coldest host clusters to the
+                        // SSD, usually stopping inside a run.
+                        let host = m.used_bytes(MemTier::Host);
+                        let shrunk = host - host.min(1 + rng.below(unit));
+                        m.caps.host_bytes = shrunk;
+                        model.caps.host_bytes = shrunk;
+                        m.spill_down();
+                        model.spill_down();
+                    }
+                    _ => {
+                        let ratio = rng.below(101) as f64 / 100.0;
+                        let generation = rng.below(2) == 1;
+                        let policy = ClusterPrefetch {
+                            accuracy: [0.0, 0.5, 0.9][rng.below(3) as usize],
+                        };
+                        let plan = m.plan_restore(id, ratio, generation, &policy);
+                        assert_eq!(
+                            plan,
+                            model.plan_restore(id, ratio, generation, &policy),
+                            "{ctx}: restore plan"
+                        );
+                        let hidden = rng.below(plan.miss_ps() + 1);
+                        m.commit_restore(&plan, hidden, plan.miss_ps() - hidden);
+                        model.commit_restore(&plan, hidden, plan.miss_ps() - hidden);
+                    }
+                }
+                assert_same(&mut m, &mut model, !tiny || step % 8 == 7, &ctx);
+            }
+            chained += model.chained;
+            wrapped += model.wrapped;
+            split_cascades += model.split_cascades;
+        }
+        // The traces must reach the cases only the run arithmetic has
+        // to get right.
+        assert!(chained > 0, "no demotion chained granules past the cap");
+        assert!(wrapped > 0, "no misprediction window wrapped past the tail");
+        assert!(split_cascades > 0, "no host cascade split a run");
     }
 }
