@@ -27,6 +27,22 @@ fn bench_attention(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `Q · Kᵀ` score kernel at the functional stream's shapes: an
+/// 8-row query block of head width 32 against 64–1 024 keys.
+fn bench_matmul_transposed(c: &mut Criterion) {
+    let mut group = c.benchmark_group("matmul_transposed");
+    let d = 32;
+    for keys in [64usize, 256, 1024] {
+        let mut rng = seeded_rng(2);
+        let q = gaussian_matrix(&mut rng, 8, d, 1.0);
+        let k = gaussian_matrix(&mut rng, keys, d, 1.0);
+        group.bench_with_input(BenchmarkId::new("q8_d32", keys), &keys, |b, _| {
+            b.iter(|| q.matmul_transposed(&k))
+        });
+    }
+    group.finish();
+}
+
 fn fast_config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -34,5 +50,5 @@ fn fast_config() -> Criterion {
         .measurement_time(std::time::Duration::from_secs(2))
 }
 
-criterion_group!(name = benches; config = fast_config(); targets = bench_attention);
+criterion_group!(name = benches; config = fast_config(); targets = bench_attention, bench_matmul_transposed);
 criterion_main!(benches);

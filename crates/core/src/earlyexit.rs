@@ -84,35 +84,46 @@ pub fn early_exit_select_row(
         }
     };
 
+    // Bucket every element once: a stable counting sort by index, so
+    // bucket `b` holds `order[start[b]..start[b + 1]]`, ascending.
+    let buckets: Vec<usize> = scores.iter().map(|&s| bucket_of(s)).collect();
+    let mut start = vec![0usize; n_buckets + 1];
+    for &b in &buckets {
+        start[b + 1] += 1;
+    }
+    for b in 0..n_buckets {
+        start[b + 1] += start[b];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0usize; scores.len()];
+    for (i, &b) in buckets.iter().enumerate() {
+        order[next[b]] = i;
+        next[b] += 1;
+    }
+
     let mut selected = Vec::new();
     let mut acc = 0.0f64;
     // Token-selection step: highest bucket first.
     for b in (0..n_buckets).rev() {
         stats.buckets_visited += 1;
+        // The WTU membership-tests every element per visited bucket;
+        // the counters model that hardware work, not the host's.
         stats.elements_scanned += scores.len();
-        // Membership bitmask for this score range.
-        let mut members: Vec<usize> = (0..scores.len())
-            .filter(|&i| bucket_of(scores[i]) == b)
-            .collect();
+        let members = &mut order[start[b]..start[b + 1]];
         if members.is_empty() {
-            if width <= 0.0 && b != 0 {
-                continue;
-            }
-            if width <= 0.0 {
-                break;
-            }
             continue;
         }
         // Small within-bucket sort keeps the visit order globally
-        // descending (exact equivalence with the full sort).
-        members.sort_by(|&a, &bb| {
+        // descending (exact equivalence with the full sort). Indices are
+        // distinct, so the order is total and an unstable sort is exact.
+        members.sort_unstable_by(|&a, &bb| {
             scores[bb]
                 .partial_cmp(&scores[a])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&bb))
         });
         stats.elements_sorted += members.len();
-        for idx in members {
+        for &idx in members.iter() {
             selected.push(idx);
             acc += scores[idx] as f64 * counts[idx] as f64;
             if acc > threshold {
@@ -194,7 +205,119 @@ mod tests {
         select_row_checked(&scores, &counts, 0.55, 4);
     }
 
+    /// The per-bucket rescan the one-pass bucketing replaced: each
+    /// visited bucket re-derives every element's bucket. Kept as the
+    /// oracle for the modelled WTU work counters.
+    fn per_bucket_scan(
+        scores: &[f32],
+        counts: &[usize],
+        th_ratio: f32,
+        n_buckets: usize,
+    ) -> (Vec<usize>, EarlyExitStats) {
+        let mut stats = EarlyExitStats {
+            buckets_total: n_buckets,
+            ..EarlyExitStats::default()
+        };
+        let mut total = 0.0f64;
+        let mut min = f32::INFINITY;
+        let mut max = f32::NEG_INFINITY;
+        for (&s, &c) in scores.iter().zip(counts) {
+            total += s as f64 * c as f64;
+            min = min.min(s);
+            max = max.max(s);
+        }
+        if total <= 0.0 || scores.is_empty() {
+            return (Vec::new(), stats);
+        }
+        let threshold = total * th_ratio as f64;
+        let width = (max - min) / n_buckets as f32;
+        let bucket_of = |s: f32| -> usize {
+            if width <= 0.0 {
+                0
+            } else {
+                (((s - min) / width) as usize).min(n_buckets - 1)
+            }
+        };
+        let mut selected = Vec::new();
+        let mut acc = 0.0f64;
+        for b in (0..n_buckets).rev() {
+            stats.buckets_visited += 1;
+            stats.elements_scanned += scores.len();
+            let mut members: Vec<usize> = (0..scores.len())
+                .filter(|&i| bucket_of(scores[i]) == b)
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            members.sort_by(|&a, &bb| {
+                scores[bb]
+                    .partial_cmp(&scores[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&bb))
+            });
+            stats.elements_sorted += members.len();
+            for idx in members {
+                selected.push(idx);
+                acc += scores[idx] as f64 * counts[idx] as f64;
+                if acc > threshold {
+                    return (selected, stats);
+                }
+            }
+        }
+        (selected, stats)
+    }
+
     proptest! {
+        /// One-pass bucketing charges exactly the modelled WTU work of
+        /// the per-bucket scan (the counters feed the `vrex-hwsim` cycle
+        /// model) and selects the same elements.
+        #[test]
+        fn stats_match_per_bucket_scan(
+            pairs in proptest::collection::vec((0.0f32..100.0, 1usize..50), 0..96),
+            ratio in 0.0f32..1.0,
+            n_buckets in 1usize..64,
+        ) {
+            let scores: Vec<f32> = pairs.iter().map(|p| p.0).collect();
+            let counts: Vec<usize> = pairs.iter().map(|p| p.1).collect();
+            let fast = early_exit_select_row(&scores, &counts, ratio, n_buckets);
+            prop_assert_eq!(fast, per_bucket_scan(&scores, &counts, ratio, n_buckets));
+        }
+
+        /// Softmax-numerator rows, the shape ReSV feeds the WTU: many
+        /// near-zero scores, one exact 1.0 and ties.
+        #[test]
+        fn stats_match_on_softmax_rows(
+            logits in proptest::collection::vec(-12.0f32..0.0, 1..96),
+            counts in proptest::collection::vec(1usize..9, 96..97),
+            ratio in 0.0f32..1.0,
+            n_buckets in 1usize..64,
+        ) {
+            let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let scores: Vec<f32> = logits.iter().map(|&s| (s - max).exp()).collect();
+            let counts = &counts[..scores.len()];
+            let fast = early_exit_select_row(&scores, counts, ratio, n_buckets);
+            prop_assert_eq!(fast, per_bucket_scan(&scores, counts, ratio, n_buckets));
+        }
+
+        /// All-equal rows (`width <= 0`): every element lands in bucket
+        /// 0, so every bucket is visited and scanned.
+        #[test]
+        fn stats_match_on_all_equal_rows(
+            value in 0.0f32..100.0,
+            counts in proptest::collection::vec(1usize..50, 1..64),
+            ratio in 0.0f32..1.0,
+            n_buckets in 1usize..64,
+        ) {
+            let scores = vec![value; counts.len()];
+            let fast = early_exit_select_row(&scores, &counts, ratio, n_buckets);
+            let oracle = per_bucket_scan(&scores, &counts, ratio, n_buckets);
+            if value > 0.0 {
+                prop_assert_eq!(fast.1.buckets_visited, n_buckets);
+                prop_assert_eq!(fast.1.elements_scanned, n_buckets * counts.len());
+            }
+            prop_assert_eq!(fast, oracle);
+        }
+
         /// The hardware dataflow must reproduce the reference selection
         /// exactly for arbitrary score/count rows, thresholds, and
         /// bucket counts.

@@ -63,7 +63,10 @@ pub struct HcTable {
     hamming_threshold: u32,
     n_tokens: usize,
     stats: ClusteringStats,
-    reps_cache: Option<Matrix>,
+    /// Score operands, cached between mutations: the representative
+    /// keys as an `(n_clusters × dim)` matrix and each cluster's token
+    /// count, row for row.
+    reps_cache: Option<(Matrix, Vec<usize>)>,
 }
 
 impl HcTable {
@@ -158,20 +161,29 @@ impl HcTable {
     /// between mutations) — the `Key_cluster` operand of the
     /// `Q × Key_clusterᵀ` score computation.
     pub fn representatives(&mut self) -> &Matrix {
+        self.score_operands().0
+    }
+
+    /// Token counts per cluster, aligned with [`Self::representatives`]
+    /// (cached between mutations).
+    pub fn token_counts(&mut self) -> &[usize] {
+        self.score_operands().1
+    }
+
+    /// [`Self::representatives`] and [`Self::token_counts`] together,
+    /// the two operands of one WiCSum selection.
+    pub fn score_operands(&mut self) -> (&Matrix, &[usize]) {
         let clusters = &self.clusters;
-        self.reps_cache.get_or_insert_with(|| {
+        let (reps, counts) = self.reps_cache.get_or_insert_with(|| {
             let rows: Vec<&[f32]> = clusters.iter().map(|c| c.rep_key.as_slice()).collect();
-            if rows.is_empty() {
+            let reps = if rows.is_empty() {
                 Matrix::default()
             } else {
                 Matrix::from_rows(&rows)
-            }
-        })
-    }
-
-    /// Token counts per cluster, aligned with [`Self::representatives`].
-    pub fn token_counts(&self) -> Vec<usize> {
-        self.clusters.iter().map(Cluster::token_count).collect()
+            };
+            (reps, clusters.iter().map(Cluster::token_count).collect())
+        });
+        (reps, counts)
     }
 
     /// Maps selected cluster indices back to the union of their member

@@ -218,37 +218,43 @@ impl ResvPolicy {
         if table.n_clusters() == 0 {
             return Vec::new();
         }
-        let counts = table.token_counts();
-        let reps = table.representatives();
+        let (reps, counts) = table.score_operands();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut scores: Matrix = req.queries.matmul_transposed(reps);
         scores.scale_in_place(scale);
         self.work.cluster_scores_computed += (scores.rows() * scores.cols()) as u64;
         self.work.token_scores_equivalent += (scores.rows() * old_len) as u64;
 
-        let mut union: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        // Union of the per-row selections, as a cluster mask.
+        let mut selected_mask = vec![false; scores.cols()];
+        let mut transformed = Vec::with_capacity(scores.cols());
         for r in 0..scores.rows() {
             let row = scores.row(r);
             // Monotone non-negative transform: exponentiated max-shifted
             // score (the softmax numerator) — concentrated rows stay
             // concentrated, and WiCSum's weighted mass is well-defined.
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let transformed: Vec<f32> = row.iter().map(|&s| (s - max).exp()).collect();
+            transformed.clear();
+            transformed.extend(row.iter().map(|&s| (s - max).exp()));
             let selected = if self.cfg.use_early_exit {
                 let (sel, st) = early_exit_select_row(
                     &transformed,
-                    &counts,
+                    counts,
                     self.cfg.th_wics,
                     self.cfg.n_buckets,
                 );
                 self.work.early_exit.add(st);
                 sel
             } else {
-                wicsum_select_row(&transformed, &counts, self.cfg.th_wics)
+                wicsum_select_row(&transformed, counts, self.cfg.th_wics)
             };
-            union.extend(selected);
+            for c in selected {
+                selected_mask[c] = true;
+            }
         }
-        union.into_iter().collect()
+        (0..selected_mask.len())
+            .filter(|&c| selected_mask[c])
+            .collect()
     }
 }
 

@@ -107,8 +107,13 @@ pub fn selection_recall(
     let d = q.cols() as f32;
     let scale = 1.0 / d.sqrt();
     let mut total_recall = 0.0;
-    // vrex-lint: allow(unordered-iteration) — membership-only set: order is never observed, and the per-row recall loop wants O(1) contains().
-    let selected: std::collections::HashSet<usize> = idx.iter().copied().collect();
+    // Membership mask over the history; indices past it select nothing.
+    let mut selected = vec![false; old_len];
+    for &i in idx {
+        if let Some(s) = selected.get_mut(i) {
+            *s = true;
+        }
+    }
     for r in 0..q.rows() {
         let qrow = q.row(r);
         // softmax over history only
@@ -124,7 +129,7 @@ pub fn selection_recall(
         for (j, s) in scores.iter().enumerate() {
             let e = ((s - max) as f64).exp();
             denom += e;
-            if selected.contains(&j) {
+            if selected[j] {
                 num += e;
             }
         }

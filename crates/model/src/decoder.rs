@@ -96,46 +96,50 @@ impl DecoderLayer {
         // Per-query-head attention with policy-selected history.
         let group = cfg.gqa_group();
         let mut attn_concat = Matrix::zeros(n, cfg.n_heads * hd);
-        // Per-kv-head union of selected history indices (fetch volume).
-        let mut kv_union: Vec<std::collections::BTreeSet<usize>> =
-            vec![std::collections::BTreeSet::new(); cfg.n_kv_heads];
-        let mut kv_union_all = vec![false; cfg.n_kv_heads];
-
-        for qh in 0..cfg.n_heads {
-            let kvh = qh / group;
-            let mut q_h = Self::head_slice(&q_fused, qh, hd);
-            ops::apply_rope(&mut q_h, start_pos);
-            let keys = cache.keys(kvh);
-            let request = SelectionRequest {
-                layer: layer_idx,
-                query_head: qh,
-                kv_head: kvh,
-                queries: &q_h,
-                keys,
-                stage,
-            };
-            let selection = policy.select(&request);
-            stats.record_selection(layer_idx, qh, &selection, start_pos);
-            if stats.track_recall() && start_pos > 0 {
-                let r = selection_recall(&q_h, keys, start_pos, &selection);
-                stats.record_recall(r);
-            }
-            match selection.materialized() {
-                None => kv_union_all[kvh] = true,
-                Some(idx) => kv_union[kvh].extend(idx.iter().copied()),
-            }
-            let out =
-                attention_with_selection(&q_h, keys, cache.values(kvh), start_pos, &selection);
-            for r in 0..n {
-                attn_concat.row_mut(r)[qh * hd..(qh + 1) * hd].copy_from_slice(out.row(r));
-            }
-        }
+        // Union of the group's selected history indices per KV head
+        // (fetch volume): one mask over the `start_pos` history tokens,
+        // reused across KV heads.
+        let mut fetched = vec![false; start_pos];
 
         for kvh in 0..cfg.n_kv_heads {
-            let distinct = if kv_union_all[kvh] {
+            fetched.fill(false);
+            let mut fetch_all = false;
+            for qh in kvh * group..(kvh + 1) * group {
+                let mut q_h = Self::head_slice(&q_fused, qh, hd);
+                ops::apply_rope(&mut q_h, start_pos);
+                let keys = cache.keys(kvh);
+                let request = SelectionRequest {
+                    layer: layer_idx,
+                    query_head: qh,
+                    kv_head: kvh,
+                    queries: &q_h,
+                    keys,
+                    stage,
+                };
+                let selection = policy.select(&request);
+                stats.record_selection(layer_idx, qh, &selection, start_pos);
+                if stats.track_recall() && start_pos > 0 {
+                    let r = selection_recall(&q_h, keys, start_pos, &selection);
+                    stats.record_recall(r);
+                }
+                let out =
+                    attention_with_selection(&q_h, keys, cache.values(kvh), start_pos, &selection);
+                match selection.materialized() {
+                    None => fetch_all = true,
+                    Some(idx) => {
+                        for &i in idx {
+                            fetched[i] = true;
+                        }
+                    }
+                }
+                for r in 0..n {
+                    attn_concat.row_mut(r)[qh * hd..(qh + 1) * hd].copy_from_slice(out.row(r));
+                }
+            }
+            let distinct = if fetch_all {
                 start_pos
             } else {
-                kv_union[kvh].len()
+                fetched.iter().filter(|&&f| f).count()
             };
             stats.record_fetch(layer_idx, kvh, distinct, start_pos, cfg);
         }

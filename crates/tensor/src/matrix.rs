@@ -3,6 +3,9 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
+/// Keys per output tile of [`Matrix::matmul_transposed`].
+const KEY_TILE: usize = 8;
+
 /// A dense row-major matrix of `f32` values.
 ///
 /// This is the single tensor type used across the whole V-Rex
@@ -10,6 +13,9 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// operations, no views. Model dimensions in tests and functional
 /// experiments are small enough that clarity wins over absolute speed,
 /// while the benchmark harness exercises the O(n·m·k) kernels directly.
+/// The one tuned kernel is the `Q · Kᵀ` score product
+/// ([`Matrix::matmul_transposed`]) behind every attention and ReSV
+/// cluster score; it stays bit-identical to the scalar loop.
 ///
 /// # Examples
 ///
@@ -211,7 +217,14 @@ impl Matrix {
     /// Matrix product against the transpose of `other`: `self · otherᵀ`.
     ///
     /// This is the attention-score kernel (`Q · Kᵀ`); it avoids
-    /// materialising the transpose.
+    /// materialising the transpose. Outputs are computed a tile of eight
+    /// keys at a time so their dependency chains overlap, but each output
+    /// is still one dot product summed in ascending-`k` order without
+    /// fused multiply-adds: results are bit-identical to the scalar loop.
+    /// With several query rows, each tile of keys is first copied
+    /// `k`-major so one step of `k` updates the whole tile's outputs of a
+    /// row together; a single row reads the keys in place instead, as it
+    /// cannot amortise the copy.
     ///
     /// # Panics
     ///
@@ -223,15 +236,52 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
+        let (k, n) = (self.cols, other.rows);
+        if self.rows == 0 || k == 0 || n == 0 {
+            return out;
+        }
+        let tiles = other.data.chunks_exact(KEY_TILE * k);
+        let rest = tiles.remainder();
+        if self.rows == 1 {
+            let a_row = self.row(0);
+            for (o, keys) in out.data.chunks_exact_mut(KEY_TILE).zip(tiles) {
+                let mut acc = [0.0f32; KEY_TILE];
+                let b: [&[f32]; KEY_TILE] = std::array::from_fn(|l| &keys[l * k..(l + 1) * k]);
+                for (kk, &a) in a_row.iter().enumerate() {
+                    for (acc, b) in acc.iter_mut().zip(b) {
+                        *acc += a * b[kk];
+                    }
+                }
+                o.copy_from_slice(&acc);
+            }
+        } else {
+            let mut tile = vec![0.0f32; KEY_TILE * k];
+            for (t, keys) in tiles.enumerate() {
+                for (l, key) in keys.chunks_exact(k).enumerate() {
+                    for (kk, &v) in key.iter().enumerate() {
+                        tile[kk * KEY_TILE + l] = v;
+                    }
+                }
+                for (a_row, out_row) in self.iter_rows().zip(out.data.chunks_exact_mut(n)) {
+                    let mut acc = [0.0f32; KEY_TILE];
+                    for (&a, b) in a_row.iter().zip(tile.chunks_exact(KEY_TILE)) {
+                        for (acc, &b) in acc.iter_mut().zip(b) {
+                            *acc += a * b;
+                        }
+                    }
+                    out_row[t * KEY_TILE..(t + 1) * KEY_TILE].copy_from_slice(&acc);
+                }
+            }
+        }
+        // Keys past the last full tile: one dot product at a time.
+        let first_rest = n - rest.len() / k;
+        for (a_row, out_row) in self.iter_rows().zip(out.data.chunks_exact_mut(n)) {
+            for (o, b_row) in out_row[first_rest..].iter_mut().zip(rest.chunks_exact(k)) {
                 let mut acc = 0.0;
                 for (a, b) in a_row.iter().zip(b_row) {
                     acc += a * b;
                 }
-                out[(i, j)] = acc;
+                *o = acc;
             }
         }
         out

@@ -42,6 +42,28 @@ proptest! {
         prop_assert!(a.matmul_transposed(&b).max_abs_diff(&a.matmul(&b.transposed())) < 1e-4);
     }
 
+    /// The blocked `Q · Kᵀ` kernel is bit-exact with a scalar dot
+    /// product summed in ascending-`k` order, including the tail when
+    /// the key count is not a multiple of the block width.
+    #[test]
+    fn matmul_transposed_is_bit_exact(
+        n in 0usize..10, m in 0usize..19, k in 0usize..38, seed in 0u64..1000
+    ) {
+        let a = matrix(n, m, seed);
+        let b = matrix(k, m, seed + 17);
+        let fast = a.matmul_transposed(&b);
+        prop_assert_eq!((fast.rows(), fast.cols()), (n, k));
+        for i in 0..n {
+            for j in 0..k {
+                let mut acc = 0.0f32;
+                for t in 0..m {
+                    acc += a[(i, t)] * b[(j, t)];
+                }
+                prop_assert_eq!(fast[(i, j)].to_bits(), acc.to_bits(), "output ({}, {})", i, j);
+            }
+        }
+    }
+
     #[test]
     fn softmax_rows_are_probability_distributions(
         rows in 1usize..8, cols in 1usize..16, seed in 0u64..1000
