@@ -28,61 +28,31 @@ fn main() {
     let dram = e.add_resource("DRAM");
 
     let mut prev_ffn = None;
-    for layer in 0..2 {
+    for _ in 0..2 {
         let deps: Vec<_> = prev_ffn.into_iter().collect();
-        let qkv = e.schedule(lxe, qkv_ps, &deps, &format!("L{layer} QKV gen"), 0);
-        e.schedule(
-            dram,
-            qkv_ps,
-            &deps,
-            &format!("L{layer} weights(QKV)"),
-            qkv_bytes,
-        );
+        let qkv = e.schedule(lxe, qkv_ps, &deps, "QKV gen", 0);
+        e.schedule(dram, qkv_ps, &deps, "weights(QKV)", qkv_bytes);
         // KV prediction on the DRE, concurrent with attention.
-        let pred = e.schedule(
-            dre,
-            c.prediction_ps.max(1),
-            &[qkv],
-            &format!("L{layer} KV prediction"),
-            0,
-        );
-        let attn = e.schedule(
-            lxe,
-            c.attention_ps,
-            &[qkv],
-            &format!("L{layer} attention"),
-            0,
-        );
+        let pred = e.schedule(dre, c.prediction_ps.max(1), &[qkv], "KV prediction", 0);
+        let attn = e.schedule(lxe, c.attention_ps, &[qkv], "attention", 0);
         e.schedule(
             dram,
             c.attention_ps,
             &[qkv],
-            &format!("L{layer} KV read"),
+            "KV read",
             c.dram_bytes - qkv_bytes - ffn_bytes,
         );
         // Retrieval for the *next* layer runs through most of this one.
-        e.schedule(
-            pcie,
-            c.fetch_ps,
-            &[pred],
-            &format!("L{layer} KV retrieval"),
-            c.fetch_bytes,
-        );
+        e.schedule(pcie, c.fetch_ps, &[pred], "KV retrieval", c.fetch_bytes);
         e.schedule(
             dram,
             c.fetch_ps,
             &[pred],
-            &format!("L{layer} KV retrieval->DRAM"),
+            "KV retrieval->DRAM",
             c.fetch_bytes,
         );
-        let ffn = e.schedule(lxe, ffn_ps, &[attn], &format!("L{layer} FFN"), 0);
-        e.schedule(
-            dram,
-            ffn_ps,
-            &[attn],
-            &format!("L{layer} weights(FFN)"),
-            ffn_bytes,
-        );
+        let ffn = e.schedule(lxe, ffn_ps, &[attn], "FFN", 0);
+        e.schedule(dram, ffn_ps, &[attn], "weights(FFN)", ffn_bytes);
         prev_ffn = Some(ffn);
     }
 
@@ -102,9 +72,8 @@ fn main() {
         let dram_bw = e.bandwidth_in_window(dram, t0, t1) / 1e9;
         let pcie_bw = e.bandwidth_in_window(pcie, t0, t1) / 1e9;
         let busy = |r| {
-            let tr = e.trace(r);
             let mut busy = 0u64;
-            for iv in tr {
+            for iv in e.window(r, t0, t1) {
                 busy += iv.end.min(t1).saturating_sub(iv.start.max(t0));
             }
             if busy * 2 > (t1 - t0) {

@@ -25,8 +25,16 @@
 //!   simulation instant, modelling a prefetch that was issued when the
 //!   work item first became visible).
 //!
-//! [`Engine::truncate_from`] drops not-yet-started reservations from a
-//! timeline so a scheduler can re-plan after conditions change.
+//! Every reservation costs O(log n + k) and allocates nothing but the
+//! amortised growth of the engine's vectors: n is the number of
+//! intervals on the resource and k the number of them the fit scan has
+//! to step over. Busy intervals are sorted by start and never overlap,
+//! so their ends are sorted too; a binary search skips every interval
+//! that ends at or before the requested instant, and the scan walks
+//! forward from there only until a gap holds the duration. Window
+//! queries ([`Engine::window`], [`Engine::bandwidth_in_window`]) use
+//! the same search and visit only the intervals that overlap the
+//! window.
 
 use crate::time::ps_to_seconds;
 
@@ -39,7 +47,7 @@ pub struct ResourceId(usize);
 pub struct TaskId(usize);
 
 /// One recorded busy interval on a resource.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusyInterval {
     /// Start time (ps).
     pub start: u64,
@@ -47,8 +55,9 @@ pub struct BusyInterval {
     pub end: u64,
     /// Bytes moved during the interval (0 for pure compute).
     pub bytes: u64,
-    /// Human-readable tag.
-    pub tag: String,
+    /// Human-readable tag (a static label, so recording an interval
+    /// allocates nothing).
+    pub tag: &'static str,
 }
 
 #[derive(Debug)]
@@ -63,25 +72,32 @@ struct Resource {
 }
 
 impl Resource {
+    /// Index of the first interval that ends after `t`. Ends are sorted
+    /// because intervals are sorted by start and never overlap, so every
+    /// interval before this index ends at or before `t`.
+    fn first_ending_after(&self, t: u64) -> usize {
+        self.busy.partition_point(|b| b.end <= t)
+    }
+
     /// Earliest start `>= earliest` where `duration` fits into a gap of
-    /// the (sorted, non-overlapping) timeline.
-    fn earliest_fit(&self, earliest: u64, duration: u64) -> u64 {
+    /// the (sorted, non-overlapping) timeline, and the index at which
+    /// an interval starting there is inserted.
+    fn earliest_fit(&self, earliest: u64, duration: u64) -> (u64, usize) {
         let mut candidate = earliest;
-        for b in &self.busy {
-            if b.end <= candidate {
-                continue;
-            }
+        let mut at = self.first_ending_after(earliest);
+        while let Some(b) = self.busy.get(at) {
             if candidate.saturating_add(duration) <= b.start {
                 break;
             }
             candidate = b.end;
+            at += 1;
         }
-        candidate
+        (candidate, at)
     }
 
-    /// Inserts an interval keeping the timeline sorted by start.
-    fn insert(&mut self, iv: BusyInterval) {
-        let at = self.busy.partition_point(|b| b.start <= iv.start);
+    /// Inserts an interval at index `at` returned by
+    /// [`Self::earliest_fit`], which keeps the timeline sorted by start.
+    fn insert(&mut self, at: usize, iv: BusyInterval) {
         debug_assert!(
             at == 0 || self.busy[at - 1].end <= iv.start,
             "reservation overlaps its predecessor"
@@ -149,27 +165,14 @@ impl Engine {
         resource: ResourceId,
         duration_ps: u64,
         deps: &[TaskId],
-        tag: &str,
+        tag: &'static str,
         bytes: u64,
     ) -> TaskId {
-        let dep_ready = deps.iter().map(|d| self.tasks[d.0].end).max().unwrap_or(0);
-        let res = &mut self.resources[resource.0];
         // Appended tasks also never overlap earliest-fit reservations:
         // reservations cap at the timeline's max end, which next_free
-        // tracks below.
-        let start = res.earliest_fit(dep_ready.max(res.next_free), duration_ps);
-        let end = start + duration_ps;
-        res.next_free = res.next_free.max(end);
-        if duration_ps > 0 {
-            res.insert(BusyInterval {
-                start,
-                end,
-                bytes,
-                tag: tag.to_string(),
-            });
-        }
-        self.tasks.push(Task { start, end });
-        TaskId(self.tasks.len() - 1)
+        // tracks.
+        let frontier = self.next_free(resource);
+        self.schedule_after(resource, frontier, duration_ps, deps, tag, bytes)
     }
 
     /// Reserves the **earliest fit** for `duration_ps` on `resource` at
@@ -188,20 +191,23 @@ impl Engine {
         resource: ResourceId,
         earliest_ps: u64,
         duration_ps: u64,
-        tag: &str,
+        tag: &'static str,
         bytes: u64,
     ) -> TaskId {
         let res = &mut self.resources[resource.0];
-        let start = res.earliest_fit(earliest_ps, duration_ps);
+        let (start, at) = res.earliest_fit(earliest_ps, duration_ps);
         let end = start + duration_ps;
         res.next_free = res.next_free.max(end);
         if duration_ps > 0 {
-            res.insert(BusyInterval {
-                start,
-                end,
-                bytes,
-                tag: tag.to_string(),
-            });
+            res.insert(
+                at,
+                BusyInterval {
+                    start,
+                    end,
+                    bytes,
+                    tag,
+                },
+            );
         }
         self.tasks.push(Task { start, end });
         TaskId(self.tasks.len() - 1)
@@ -220,7 +226,7 @@ impl Engine {
         earliest_ps: u64,
         duration_ps: u64,
         deps: &[TaskId],
-        tag: &str,
+        tag: &'static str,
         bytes: u64,
     ) -> TaskId {
         let dep_ready = deps.iter().map(|d| self.tasks[d.0].end).max().unwrap_or(0);
@@ -231,27 +237,6 @@ impl Engine {
             tag,
             bytes,
         )
-    }
-
-    /// Drops every busy interval on `resource` that **starts at or
-    /// after** `t_ps`, returning how many were removed. In-progress
-    /// intervals (started before `t_ps`) are kept whole. The appended
-    /// frontier rewinds to the latest remaining end, so a scheduler can
-    /// re-plan the future of a timeline after conditions change.
-    ///
-    /// Task ids whose reservations were removed keep their recorded
-    /// start/end for queries, but no longer occupy the timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resource` is invalid.
-    pub fn truncate_from(&mut self, resource: ResourceId, t_ps: u64) -> usize {
-        let res = &mut self.resources[resource.0];
-        let keep = res.busy.partition_point(|b| b.start < t_ps);
-        let removed = res.busy.len() - keep;
-        res.busy.truncate(keep);
-        res.next_free = res.busy.iter().map(|b| b.end).max().unwrap_or(0);
-        removed
     }
 
     /// The appended-task frontier of a resource: the earliest instant
@@ -289,6 +274,18 @@ impl Engine {
         &self.resources[r.0].busy
     }
 
+    /// Busy intervals of a resource with `end > t0` and `start < t1`
+    /// (for `t0 < t1`: exactly those overlapping `[t0, t1)`), in start
+    /// order. Two binary searches bound the slice, so a query costs
+    /// O(log n) however long the timeline is.
+    pub fn window(&self, r: ResourceId, t0: u64, t1: u64) -> &[BusyInterval] {
+        let res = &self.resources[r.0];
+        let lo = res.first_ending_after(t0);
+        let hi = res.busy.partition_point(|b| b.start < t1);
+        // `hi < lo` only for an inverted window (`t1 < t0`).
+        &res.busy[lo..hi.max(lo)]
+    }
+
     /// Total busy time (ps) of a resource.
     pub fn busy_time(&self, r: ResourceId) -> u64 {
         self.resources[r.0]
@@ -320,7 +317,7 @@ impl Engine {
             return 0.0;
         }
         let mut bytes = 0.0;
-        for b in &self.resources[r.0].busy {
+        for b in self.window(r, t0, t1) {
             let overlap_start = b.start.max(t0);
             let overlap_end = b.end.min(t1);
             if overlap_end > overlap_start && b.end > b.start {
@@ -486,29 +483,70 @@ mod tests {
         assert_eq!(e.start_of(b), 0);
     }
 
-    #[test]
-    fn truncate_from_drops_future_reservations_only() {
-        let mut e = Engine::new();
-        let r = e.add_resource("link");
-        e.schedule(r, 100, &[], "a", 0); // [0, 100)
-        e.reserve_after(r, 200, 50, "b", 0); // [200, 250)
-        e.reserve_after(r, 400, 50, "c", 0); // [400, 450)
-                                             // Truncating at 150 drops b and c, keeps the in-progress a.
-        assert_eq!(e.truncate_from(r, 150), 2);
-        assert_eq!(e.trace(r).len(), 1);
-        assert_eq!(e.busy_time(r), 100);
-        // The frontier rewound: the next append starts at 100.
-        let d = e.schedule(r, 10, &[], "d", 0);
-        assert_eq!(e.start_of(d), 100);
-        // Truncating at an instant inside an interval keeps it whole:
-        // `d` spans [100, 110), so cutting at 105 keeps both it and `a`.
-        assert_eq!(e.truncate_from(r, 105), 0, "in-progress tasks kept");
-        assert_eq!(e.trace(r).len(), 2);
-        // Cutting exactly at a start drops that reservation.
-        assert_eq!(e.truncate_from(r, 100), 1, "d dropped, a kept");
-        assert_eq!(e.trace(r).len(), 1);
-        assert_eq!(e.truncate_from(r, 0), 1, "everything dropped");
-        assert_eq!(e.busy_time(r), 0);
+    /// The engine before its frontier index: a linear-scan earliest fit
+    /// that walks each timeline from its first interval, and a sorted
+    /// insert that searches for its own position. The reference-model
+    /// property test below drives it next to [`Engine`].
+    #[derive(Default)]
+    struct LinearEngine {
+        next_free: Vec<u64>,
+        busy: Vec<Vec<BusyInterval>>,
+        tasks: Vec<(u64, u64)>,
+    }
+
+    impl LinearEngine {
+        fn add_resource(&mut self) {
+            self.next_free.push(0);
+            self.busy.push(Vec::new());
+        }
+
+        fn earliest_fit(&self, r: usize, earliest: u64, duration: u64) -> u64 {
+            let mut candidate = earliest;
+            for b in &self.busy[r] {
+                if b.end <= candidate {
+                    continue;
+                }
+                if candidate.saturating_add(duration) <= b.start {
+                    break;
+                }
+                candidate = b.end;
+            }
+            candidate
+        }
+
+        fn dep_ready(&self, deps: &[TaskId]) -> u64 {
+            deps.iter().map(|d| self.tasks[d.0].1).max().unwrap_or(0)
+        }
+
+        /// Places a reservation at or after `earliest` and returns its
+        /// start, or places nothing and returns `None` if its end would
+        /// not fit in `u64` picoseconds.
+        fn reserve_after(
+            &mut self,
+            r: usize,
+            earliest: u64,
+            duration: u64,
+            bytes: u64,
+        ) -> Option<u64> {
+            let start = self.earliest_fit(r, earliest, duration);
+            let end = start.checked_add(duration)?;
+            self.next_free[r] = self.next_free[r].max(end);
+            if duration > 0 {
+                let busy = &mut self.busy[r];
+                let at = busy.partition_point(|b| b.start <= start);
+                busy.insert(
+                    at,
+                    BusyInterval {
+                        start,
+                        end,
+                        bytes,
+                        tag: "op",
+                    },
+                );
+            }
+            self.tasks.push((start, end));
+            Some(start)
+        }
     }
 
     proptest! {
@@ -519,9 +557,9 @@ mod tests {
             let mut e = Engine::new();
             let r = e.add_resource("u");
             let mut prev: Option<TaskId> = None;
-            for (i, &d) in durations.iter().enumerate() {
+            for &d in &durations {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
-                let t = e.schedule(r, d, &deps, &format!("t{i}"), 0);
+                let t = e.schedule(r, d, &deps, "t", 0);
                 if let Some(p) = prev {
                     prop_assert!(e.end_of(t) >= e.end_of(p) + d);
                 }
@@ -587,6 +625,112 @@ mod tests {
                         w[1]
                     );
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Reference model: random mixes of `schedule`, `reserve_after`
+        /// and `schedule_after` place every task exactly where the
+        /// linear-scan engine does, and leave identical timelines. The
+        /// mixes reach earliest instants behind the frontier and
+        /// exactly at interval ends (back-to-back intervals with
+        /// `end == start`), zero durations, dependencies, and instants
+        /// and durations within a few ps of `u64::MAX`. An operation
+        /// whose end would overflow `u64` is out of the engine's range
+        /// and is skipped for both. After every operation the frontier
+        /// search must stop at the exact first interval ending after
+        /// each probe instant, and window queries must return exactly
+        /// the overlapping intervals.
+        #[test]
+        fn reservations_match_the_linear_scan_reference(
+            ops in proptest::collection::vec(
+                (0u8..3, 0usize..3, (0u8..16, any::<u64>()), (0u8..16, any::<u64>()), any::<u64>()),
+                1..80,
+            )
+        ) {
+            let mut e = Engine::new();
+            let mut m = LinearEngine::default();
+            let rs: Vec<ResourceId> = (0..3).map(|_| e.add_resource("r")).collect();
+            for _ in &rs {
+                m.add_resource();
+            }
+            let mut ids: Vec<TaskId> = Vec::new();
+            for &(op, ri, (at_mode, at_raw), (dur_mode, dur_raw), dep_raw) in &ops {
+                let r = rs[ri];
+                let busy = &m.busy[ri];
+                let frontier = m.next_free[ri];
+                let earliest = match at_mode {
+                    // Behind (or at) the frontier.
+                    0..=4 => at_raw % frontier.saturating_add(1),
+                    // Exactly at an interval's end or start.
+                    5..=7 if !busy.is_empty() => busy[(at_raw % busy.len() as u64) as usize].end,
+                    8..=9 if !busy.is_empty() => busy[(at_raw % busy.len() as u64) as usize].start,
+                    // Within a few ps of saturation.
+                    10 => u64::MAX - at_raw % 64,
+                    _ => at_raw % 5000,
+                };
+                let duration = match dur_mode {
+                    0..=1 => 0,
+                    // Ends within a few ps of saturation if placed at
+                    // `earliest`.
+                    2 => u64::MAX - dur_raw % 64 - earliest.min(u64::MAX - 64),
+                    3 => u64::MAX / 2 + dur_raw % 1000,
+                    _ => 1 + dur_raw % 800,
+                };
+                let deps: Vec<TaskId> = if ids.is_empty() || op == 1 {
+                    Vec::new()
+                } else {
+                    let n = ids.len() as u64;
+                    let k = (dep_raw % 3) as usize;
+                    (0..k)
+                        .map(|i| ids[((dep_raw >> (8 * i + 8)) % n) as usize])
+                        .collect()
+                };
+                let dep_ready = m.dep_ready(&deps);
+                let from = match op {
+                    0 => frontier.max(dep_ready),
+                    1 => earliest,
+                    _ => earliest.max(dep_ready),
+                };
+                let Some(start) = m.reserve_after(ri, from, duration, dur_raw) else {
+                    continue;
+                };
+                let t = match op {
+                    0 => e.schedule(r, duration, &deps, "op", dur_raw),
+                    1 => e.reserve_after(r, earliest, duration, "op", dur_raw),
+                    _ => e.schedule_after(r, earliest, duration, &deps, "op", dur_raw),
+                };
+                ids.push(t);
+                prop_assert_eq!(e.start_of(t), start);
+                prop_assert_eq!(e.end_of(t), start + duration);
+                let res = &e.resources[r.0];
+                let probes = res
+                    .busy
+                    .iter()
+                    .flat_map(|b| [b.start, b.end])
+                    .chain([earliest, from, at_raw, 0, u64::MAX]);
+                for p in probes {
+                    let linear = res.busy.iter().filter(|b| b.end <= p).count();
+                    prop_assert_eq!(res.first_ending_after(p), linear, "probe {}", p);
+                }
+                let (t0, t1) = (earliest.min(at_raw), earliest.max(at_raw));
+                let overlapping: Vec<BusyInterval> = res
+                    .busy
+                    .iter()
+                    .filter(|b| b.end > t0 && b.start < t1)
+                    .copied()
+                    .collect();
+                prop_assert_eq!(e.window(r, t0, t1), overlapping.as_slice());
+            }
+            for (i, &t) in ids.iter().enumerate() {
+                prop_assert_eq!((e.start_of(t), e.end_of(t)), m.tasks[i]);
+            }
+            for (ri, &r) in rs.iter().enumerate() {
+                prop_assert_eq!(e.trace(r), m.busy[ri].as_slice());
+                prop_assert_eq!(e.next_free(r), m.next_free[ri]);
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors the slice of `criterion` its benches use:
 //! [`Criterion`], benchmark groups, [`BenchmarkId`], `Bencher::iter`,
-//! and the [`criterion_group!`]/[`criterion_main!`] macros.
+//! `Bencher::iter_custom`, and the [`criterion_group!`]/[`criterion_main!`] macros.
 //!
 //! Measurement is deliberately simple: a short warm-up, then
 //! `sample_size` samples of a batched timing loop, reporting the
@@ -177,6 +177,32 @@ impl Bencher {
             self.samples_ns.push(ns);
         }
     }
+
+    /// Times `routine(iters)`, which runs the measured operation
+    /// `iters` times and returns the time it measured itself. Lets a
+    /// benchmark keep untimed set-up (rebuilding mutated state) out of
+    /// the per-iteration figure.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut routine: F) {
+        // Warm-up: double the iteration count (up to the batch cap)
+        // until the warm-up budget elapses, accumulating measured time
+        // to size the batches.
+        let warm_start = Instant::now();
+        let (mut iters, mut warm_iters, mut warm_measured) = (1u64, 0u64, Duration::ZERO);
+        while warm_start.elapsed() < self.warm_up_time {
+            warm_measured += black_box(routine(iters));
+            warm_iters = warm_iters.saturating_add(iters);
+            iters = (iters * 2).min(1_000_000);
+        }
+        let per_iter = warm_measured.as_secs_f64() / warm_iters.max(1) as f64;
+        let budget = self.measurement_time.as_secs_f64() / self.sample_size as f64;
+        let batch = ((budget / per_iter.max(1e-9)) as u64).clamp(1, 1_000_000);
+
+        self.samples_ns.clear();
+        for _ in 0..self.sample_size {
+            let ns = routine(batch).as_secs_f64() * 1e9 / batch as f64;
+            self.samples_ns.push(ns);
+        }
+    }
 }
 
 struct Report {
@@ -276,6 +302,22 @@ mod tests {
             b.iter(|| (0..100u64).sum::<u64>())
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn iter_custom_reports_the_routine_s_own_time() {
+        let mut c = Criterion::default()
+            .sample_size(3)
+            .warm_up_time(Duration::from_millis(5))
+            .measurement_time(Duration::from_millis(15));
+        let mut calls = 0u64;
+        c.bench_function("smoke/custom", |b| {
+            b.iter_custom(|iters| {
+                calls += 1;
+                Duration::from_nanos(10 * iters)
+            })
+        });
+        assert!(calls > 3, "warm-up plus one call per sample");
     }
 
     #[test]

@@ -24,26 +24,14 @@ fn engine_makespan(platform: &PlatformSpec, method: Method, w: &Workload, n_laye
 
     let mut prev_layer_done = None;
     let mut fetch_done: Option<vrex::hwsim::TaskId> = None;
-    for l in 0..n_layers {
+    for _ in 0..n_layers {
         let deps: Vec<_> = prev_layer_done.into_iter().chain(fetch_done).collect();
-        // Compute of layer l waits for its (prefetched) KV.
-        let compute = e.schedule(
-            lxe,
-            c.dense_ps + c.attention_ps,
-            &deps,
-            &format!("L{l} compute"),
-            0,
-        );
-        // Prediction for layer l+1 runs on the DRE beside compute.
-        let pred = e.schedule(dre, c.prediction_ps, &deps, &format!("L{l} pred"), 0);
-        // Fetch for layer l+1 starts once its selection is known.
-        fetch_done = Some(e.schedule(
-            pcie,
-            c.fetch_ps,
-            &[pred],
-            &format!("L{l} fetch"),
-            c.fetch_bytes,
-        ));
+        // This layer's compute waits for its (prefetched) KV.
+        let compute = e.schedule(lxe, c.dense_ps + c.attention_ps, &deps, "compute", 0);
+        // Prediction for the next layer runs on the DRE beside compute.
+        let pred = e.schedule(dre, c.prediction_ps, &deps, "pred", 0);
+        // Fetch for the next layer starts once its selection is known.
+        fetch_done = Some(e.schedule(pcie, c.fetch_ps, &[pred], "fetch", c.fetch_bytes));
         prev_layer_done = Some(compute);
     }
     e.makespan()
